@@ -41,7 +41,8 @@ type RunOptions struct {
 	// OnResult, when set, is called once per cell as its last shard
 	// merges, in completion order; calls are serialized per run. Error
 	// cells are delivered too; cells of a cancelled run are never
-	// delivered partially merged.
+	// delivered partially merged. Run.Wait and Run.Done return only after
+	// every call has returned.
 	OnResult func(sched.CellResult)
 }
 
@@ -64,21 +65,6 @@ type lease struct {
 	cancelReason string
 }
 
-// cellAcc accumulates one cell's shards — the coordinator-side twin of the
-// local scheduler's cellRun, with the exactly-once guarantee added: a
-// unit's slot is written at most once, so a late duplicate from an expired
-// lease or a resurrected worker cannot double-merge.
-type cellAcc struct {
-	plan      montecarlo.ShardPlan
-	remaining int
-	parts     []montecarlo.ShardResult  // by shard index
-	errs      []string                  // by shard index
-	banked    int64                     // failures toward TargetFailures
-	wbank     montecarlo.WeightedResult // pooled weighted tallies toward TargetRelErr
-	settled   bool                      // target banked; outstanding work is cancelled
-	completed bool                      // final merge done; guards nested settles
-}
-
 // Run is one sweep executing over the fabric.
 type Run struct {
 	id   string
@@ -92,8 +78,9 @@ type Run struct {
 	ustate    []uint8  // per unit index
 	ulease    []string // current lease id per unit (while leased)
 	unitIndex map[sched.Unit]int
-	cells     []*cellAcc
+	cells     []*montecarlo.ShardAcc // one per job
 	completed int
+	emitting  int // merged cells whose OnResult has not returned yet
 	cancelled bool
 	finished  bool
 	results   []sched.CellResult
@@ -229,18 +216,12 @@ func (h *Hub) Submit(jobs []sched.Job, opts RunOptions) (*Run, error) {
 		ustate:    make([]uint8, len(q.Units)),
 		ulease:    make([]string, len(q.Units)),
 		unitIndex: make(map[sched.Unit]int, len(q.Units)),
-		cells:     make([]*cellAcc, len(jobs)),
+		cells:     make([]*montecarlo.ShardAcc, len(jobs)),
 		results:   make([]sched.CellResult, len(jobs)),
 		done:      make(chan struct{}),
 	}
 	for i, job := range jobs {
-		plan := q.Plans[i]
-		r.cells[i] = &cellAcc{
-			plan:      plan,
-			remaining: plan.Shards,
-			parts:     make([]montecarlo.ShardResult, plan.Shards),
-			errs:      make([]string, plan.Shards),
-		}
+		r.cells[i] = montecarlo.NewShardAcc(job.Cfg, q.Plans[i])
 		r.results[i] = sched.CellResult{Index: i, Job: job}
 	}
 	r.pending = make([]int, len(q.Units))
@@ -301,9 +282,9 @@ func (h *Hub) expireLocked(now time.Time) {
 	}
 }
 
-// Lease grants the next available unit to the worker, settling
-// banked-target units as empty along the way exactly like the local
-// scheduler's steal-aware skip.
+// Lease grants the next available unit to the worker, settling units of
+// cells whose recorded shards met their early-stop target as empty along
+// the way, exactly like the local scheduler's steal-aware skip.
 func (h *Hub) Lease(req LeaseRequest) (LeaseResponse, error) {
 	h.mu.Lock()
 	if h.closed {
@@ -325,21 +306,11 @@ func (h *Hub) Lease(req LeaseRequest) (LeaseResponse, error) {
 				continue
 			}
 			u := r.q.Units[k]
-			cell := r.cells[u.Cell]
-			cfg := r.jobs[u.Cell].Cfg
-			if tf := cfg.TargetFailures; tf > 0 && cell.banked >= int64(tf) {
-				// Sibling shards already banked the cell's failure target;
-				// settle this unit as an empty shard without leasing it.
+			if r.cells[u.Cell].TargetMet() {
+				// Sibling shards already banked the cell's target; settle
+				// this unit as an empty shard without leasing it.
 				h.stats.UnitsSettled++
-				emits = append(emits, h.recordUnitLocked(r, k, montecarlo.ShardResult{Shard: u.Shard}, "")...)
-				continue
-			}
-			if re := cfg.TargetRelErr; re > 0 && cell.wbank.RelErrMet(re) {
-				// The pooled weighted estimate already meets the cell's
-				// relative-error target — the rel-err sibling of the
-				// banked-failures settle above.
-				h.stats.UnitsSettled++
-				emits = append(emits, h.recordUnitLocked(r, k, montecarlo.ShardResult{Shard: u.Shard}, "")...)
+				emits = append(emits, h.recordUnitLocked(r, k, montecarlo.ShardResult{}, nil)...)
 				continue
 			}
 			h.nextLease++
@@ -349,14 +320,15 @@ func (h *Hub) Lease(req LeaseRequest) (LeaseResponse, error) {
 			r.ustate[k] = unitLeased
 			r.ulease[k] = id
 			h.stats.LeasesGranted++
+			plan := r.q.Plans[u.Cell]
 			granted = &Lease{
 				ID:             id,
 				Run:            r.id,
 				Cell:           u.Cell,
 				Shard:          u.Shard,
-				Shards:         cell.plan.Shards,
-				Trials:         cell.plan.Trials,
-				Cfg:            cfg,
+				Shards:         plan.Shards,
+				Trials:         plan.Trials,
+				Cfg:            r.jobs[u.Cell].Cfg,
 				DeadlineMillis: l.deadline.UnixMilli(),
 			}
 			break
@@ -366,7 +338,7 @@ func (h *Hub) Lease(req LeaseRequest) (LeaseResponse, error) {
 		}
 	}
 	h.mu.Unlock()
-	emitAll(emits)
+	h.emitAll(emits)
 	if granted == nil {
 		return LeaseResponse{Status: StatusWait}, nil
 	}
@@ -427,9 +399,8 @@ func (h *Hub) Result(req ResultRequest) (ResultResponse, error) {
 	// allotment. A short tally can only come from an abort the worker was
 	// told not to submit (expired or cancelled lease); merging it would
 	// break bit-identity, so reject it and let the unit be re-run.
-	cell := r.cells[req.Cell]
 	cfg := r.jobs[req.Cell].Cfg
-	if req.Err == "" && cfg.TargetFailures == 0 && cfg.TargetRelErr == 0 && req.Result.Trials != cell.plan.ShardTrials(req.Shard) {
+	if req.Err == "" && cfg.TargetFailures == 0 && cfg.TargetRelErr == 0 && req.Result.Trials != r.q.Plans[req.Cell].ShardTrials(req.Shard) {
 		h.stats.ResultsDiscarded++
 		h.requeueUnitLocked(r, k, req.Lease)
 		h.mu.Unlock()
@@ -447,9 +418,13 @@ func (h *Hub) Result(req ResultRequest) (ResultResponse, error) {
 		}
 	}
 	h.stats.ResultsAccepted++
-	emits := h.recordUnitLocked(r, k, req.Result, req.Err)
+	var shardErr error
+	if req.Err != "" {
+		shardErr = fmt.Errorf("fabric: shard failed: %s", req.Err)
+	}
+	emits := h.recordUnitLocked(r, k, req.Result, shardErr)
 	h.mu.Unlock()
-	emitAll(emits)
+	h.emitAll(emits)
 	return ResultResponse{Status: StatusAccepted}, nil
 }
 
@@ -473,78 +448,69 @@ type emission struct {
 	res sched.CellResult
 }
 
-func emitAll(emits []emission) {
+// emitAll delivers emissions outside the hub lock, then retires each one;
+// the last retirement of an ended run closes its done channel.
+func (h *Hub) emitAll(emits []emission) {
 	for _, e := range emits {
-		if e.run.opts.OnResult != nil {
-			e.run.emitMu.Lock()
-			e.run.opts.OnResult(e.res)
-			e.run.emitMu.Unlock()
+		r := e.run
+		if r.opts.OnResult != nil {
+			r.emitMu.Lock()
+			r.opts.OnResult(e.res)
+			r.emitMu.Unlock()
 		}
+		h.mu.Lock()
+		r.emitting--
+		r.closeIfEndedLocked()
+		h.mu.Unlock()
 	}
 }
 
-// recordUnitLocked writes one unit's outcome — exactly once — and drives
-// the downstream consequences: banking failures toward the cell's
-// early-stop target (settling sibling units when it is reached), merging
-// the cell when its last unit lands, failing the whole cell on a shard
-// error, and finishing the run when its last cell completes. Returns the
-// cells completed by this record, for emission outside the lock.
-func (h *Hub) recordUnitLocked(r *Run, k int, sr montecarlo.ShardResult, errMsg string) []emission {
-	u := r.q.Units[k]
-	cell := r.cells[u.Cell]
+// closeIfEndedLocked closes done once the run has ended — every cell
+// merged, or cancelled — and no merged cell's OnResult is still running,
+// so Wait and Done never return ahead of a callback. Ended runs queue no
+// new emissions, so the condition turns true exactly once.
+func (r *Run) closeIfEndedLocked() {
+	if (r.finished || r.cancelled) && r.emitting == 0 {
+		close(r.done)
+	}
+}
+
+// recordUnitLocked files one unit's outcome on its cell — exactly once —
+// and drives the lease-side consequences: a record that meets the cell's
+// early-stop target settles its siblings, a shard error settles the whole
+// cell so it completes carrying the error, and the record that fills the
+// cell's last slot merges it and, with the run's last cell, finishes the
+// run. Returns the cells completed by this record, for emission outside
+// the lock.
+func (h *Hub) recordUnitLocked(r *Run, k int, sr montecarlo.ShardResult, err error) []emission {
 	if r.ustate[k] == unitDone {
 		return nil
 	}
+	u := r.q.Units[k]
+	cell := r.cells[u.Cell]
 	r.ustate[k] = unitDone
 	r.ulease[k] = ""
-	cell.parts[u.Shard] = sr
-	cell.errs[u.Shard] = errMsg
-	cell.remaining--
-
-	var emits []emission
-	cfg := r.jobs[u.Cell].Cfg
-	if tf := cfg.TargetFailures; tf > 0 && errMsg == "" {
-		cell.banked += int64(sr.Failures)
-		if cell.banked >= int64(tf) && !cell.settled {
-			cell.settled = true
-			emits = append(emits, h.cancelCellLocked(r, u.Cell, ReasonSettled, false)...)
+	met := cell.TargetMet()
+	if !cell.Record(u.Shard, sr, err) {
+		switch {
+		case err != nil:
+			return h.cancelCellLocked(r, u.Cell, ReasonCancelled, true)
+		case !met && cell.TargetMet():
+			return h.cancelCellLocked(r, u.Cell, ReasonSettled, false)
 		}
+		return nil
 	}
-	if re := cfg.TargetRelErr; re > 0 && errMsg == "" {
-		cell.wbank.Add(sr.Weighted)
-		if cell.wbank.RelErrMet(re) && !cell.settled {
-			cell.settled = true
-			emits = append(emits, h.cancelCellLocked(r, u.Cell, ReasonSettled, false)...)
-		}
+	res := sched.CellResult{Index: u.Cell, Job: r.jobs[u.Cell]}
+	res.Result, res.Err = cell.Result()
+	r.results[u.Cell] = res
+	r.completed++
+	r.emitting++
+	if r.completed == len(r.jobs) {
+		r.finished = true
+		h.stats.RunsCompleted++
+		h.detachRunLocked(r)
 	}
-	if errMsg != "" && cell.remaining > 0 {
-		// A failed shard dooms the cell: settle its remaining units as
-		// empty so the cell (and run) still completes, carrying the error.
-		emits = append(emits, h.cancelCellLocked(r, u.Cell, ReasonCancelled, true)...)
-	}
-	if cell.remaining == 0 && !cell.completed {
-		cell.completed = true
-		res := sched.CellResult{Index: u.Cell, Job: r.jobs[u.Cell]}
-		for _, e := range cell.errs { // deterministic: first error by shard index
-			if e != "" {
-				res.Err = fmt.Errorf("fabric: shard failed: %s", e)
-				break
-			}
-		}
-		if res.Err == nil {
-			res.Result, res.Err = montecarlo.MergeShards(cfg, cell.parts)
-		}
-		r.results[u.Cell] = res
-		r.completed++
-		emits = append(emits, emission{run: r, res: res})
-		if r.completed == len(r.jobs) {
-			r.finished = true
-			h.stats.RunsCompleted++
-			h.detachRunLocked(r)
-			close(r.done)
-		}
-	}
-	return emits
+	return []emission{{run: r, res: res}}
 }
 
 // cancelCellLocked stops a cell's outstanding work: live leases get the
@@ -563,13 +529,13 @@ func (h *Hub) cancelCellLocked(r *Run, cellIdx int, reason string, settleAll boo
 		switch r.ustate[k] {
 		case unitPending:
 			h.stats.UnitsSettled++
-			emits = append(emits, h.recordUnitLocked(r, k, montecarlo.ShardResult{Shard: u.Shard}, "")...)
+			emits = append(emits, h.recordUnitLocked(r, k, montecarlo.ShardResult{}, nil)...)
 		case unitLeased:
 			if l := h.leases[r.ulease[k]]; l != nil && l.cancelReason == "" {
 				l.cancelReason = reason
 			}
 			if settleAll {
-				emits = append(emits, h.recordUnitLocked(r, k, montecarlo.ShardResult{Shard: u.Shard}, "")...)
+				emits = append(emits, h.recordUnitLocked(r, k, montecarlo.ShardResult{}, nil)...)
 			}
 		}
 	}
@@ -609,14 +575,15 @@ func (r *Run) Cancel() {
 	}
 	h.stats.RunsCancelled++
 	h.detachRunLocked(r)
-	close(r.done)
+	r.closeIfEndedLocked()
 	h.mu.Unlock()
 }
 
-// Wait blocks until every cell has merged (or the run is cancelled, or ctx
-// is done — which cancels the run), then returns the per-cell results in
-// submission order and reaps the run from the hub. Completed cells carry
-// exactly the Result a local run of the same unit queue produces.
+// Wait blocks until every cell has merged and been delivered to OnResult
+// (or the run is cancelled, or ctx is done — which cancels the run), then
+// returns the per-cell results in submission order and reaps the run from
+// the hub. Completed cells carry exactly the Result a local run of the
+// same unit queue produces.
 func (r *Run) Wait(ctx context.Context) ([]sched.CellResult, error) {
 	select {
 	case <-r.done:
@@ -644,7 +611,8 @@ func (r *Run) Wait(ctx context.Context) ([]sched.CellResult, error) {
 	return results, nil
 }
 
-// Done returns a channel closed when the run finishes or is cancelled.
+// Done returns a channel closed when the run finishes or is cancelled, once
+// no OnResult call is still running.
 func (r *Run) Done() <-chan struct{} { return r.done }
 
 // Completed reports how many cells have merged so far.

@@ -300,3 +300,44 @@ func TestMultiRunLeasingDrainsSubmissionOrder(t *testing.T) {
 		t.Fatalf("second lease from run %s, want %s", l2.Run, r2.ID())
 	}
 }
+
+// Wait and Done must not return while the run's final OnResult is still
+// running: serve's fabric mode reads state the callback writes as soon as
+// Wait returns. The slow callback widens the window a premature close
+// would expose, and the unsynchronized counter lets -race see it too.
+func TestWaitReturnsAfterFinalOnResult(t *testing.T) {
+	clk := newFakeClock()
+	h := NewHub(Options{LeaseTTL: time.Second, Now: clk.Now, NoJanitor: true})
+	t.Cleanup(h.Close)
+	calls := 0
+	r, err := h.Submit([]sched.Job{{Cfg: protoConfig(100)}}, RunOptions{
+		OnResult: func(sched.CellResult) {
+			time.Sleep(100 * time.Millisecond)
+			calls++
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := mustLease(t, h, "w1")
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		h.Result(fullResult(l))
+	}()
+	defer wg.Wait()
+
+	<-r.Done()
+	if calls != 1 {
+		t.Fatalf("Done closed with %d OnResult calls returned, want 1", calls)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := r.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("Wait returned with %d OnResult calls returned, want 1", calls)
+	}
+}

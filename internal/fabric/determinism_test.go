@@ -69,8 +69,8 @@ func diffResults(t *testing.T, label string, got, want []sched.CellResult) {
 // TestClusterMatchesLocalThresholdGrid is the headline contract: a
 // threshold sweep executed over the fabric merges bit-identically to the
 // local scheduler's run of the same jobs — at every worker count, at every
-// lease granularity, including cells that parallelize internally
-// (Workers > 1) and therefore lease as a single unit.
+// lease granularity, including a Workers > 1 cell, which leases one unit
+// per worker shard.
 func TestClusterMatchesLocalThresholdGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-worker sweep matrix")

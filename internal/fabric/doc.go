@@ -10,20 +10,26 @@
 // workers pull units, run them through montecarlo.Engine.RunShardOn (shard
 // index = ChaCha8 stream index, so the bytes never depend on which worker
 // runs the shard), and submit ShardResults. Merging is exactly-once: each
-// unit's slot in its cell accumulator is written at most once, keyed by
+// unit files into its cell's montecarlo.ShardAcc — the accumulator the
+// local pool uses too — whose slots are written at most once, keyed by
 // unit identity rather than delivery, so retries, expired-lease races, and
 // resurrected workers cannot double-merge. montecarlo.MergeShards is
 // order-independent, which closes the loop: any assignment of units to
 // workers, in any completion order, with any amount of lease churn, merges
-// to the same bytes.
+// to the same bytes. The Hub adds only what leasing needs: unit states,
+// leases and their expiry, and the partial-tally guard below.
+//
+// Merged cells reach RunOptions.OnResult outside the hub lock; Run.Wait
+// and Run.Done return only after the run's final OnResult has returned.
 //
 // Fault tolerance is lease-based: a granted lease carries a TTL, workers
 // heartbeat to extend it, and the Hub's janitor (plus lazy expiry in
 // Lease) requeues units whose leases lapse. Heartbeats also carry
 // cancellations: ReasonExpired (abort, never submit — a partial tally must
-// not race the reassigned run), ReasonSettled (the cell's TargetFailures
-// budget was banked by siblings; abort and submit the partial, as a local
-// early-stopped shard would), and ReasonCancelled (run cancelled; abort).
+// not race the reassigned run), ReasonSettled (siblings' recorded shards
+// met the cell's early-stop target, ShardAcc.TargetMet; abort and submit
+// the partial, as a local early-stopped shard would), and ReasonCancelled
+// (run cancelled; abort).
 // A coordinator-side guard additionally rejects short tallies for
 // fixed-trials units, so even a worker that misses its cancellation cannot
 // corrupt a merge.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -58,8 +59,10 @@ func schedules() []*Schedule {
 }
 
 // runFaulted executes the jobs over a hub with the schedule's faults
-// injected into each worker's transport.
-func runFaulted(t *testing.T, jobs []sched.Job, shardShots, workers int, sch *Schedule) ([]sched.CellResult, fabric.Stats) {
+// injected into each worker's transport. wrap, when non-nil, wraps each
+// worker's hub transport beneath the fault shim.
+func runFaulted(t *testing.T, jobs []sched.Job, shardShots, workers int, sch *Schedule,
+	wrap func(i int, tr fabric.Transport) fabric.Transport) ([]sched.CellResult, fabric.Stats) {
 	t.Helper()
 	h := fabric.NewHub(fabric.Options{LeaseTTL: sch.TTL})
 	defer h.Close()
@@ -68,7 +71,13 @@ func runFaulted(t *testing.T, jobs []sched.Job, shardShots, workers int, sch *Sc
 		t.Fatal(err)
 	}
 	c := fabric.StartCluster(workers,
-		func(i int) fabric.Transport { return New(fabric.Local{Hub: h}, sch, i) },
+		func(i int) fabric.Transport {
+			var tr fabric.Transport = fabric.Local{Hub: h}
+			if wrap != nil {
+				tr = wrap(i, tr)
+			}
+			return New(tr, sch, i)
+		},
 		func(int) fabric.WorkerOptions {
 			return fabric.WorkerOptions{PollInterval: 2 * time.Millisecond}
 		})
@@ -101,7 +110,7 @@ func TestFaultSchedulesBitIdentical(t *testing.T) {
 
 	for _, sch := range schedules() {
 		t.Run(sch.Name, func(t *testing.T) {
-			got, stats := runFaulted(t, jobs, montecarlo.MinShardShots, 3, sch)
+			got, stats := runFaulted(t, jobs, montecarlo.MinShardShots, 3, sch, nil)
 			for i := range want {
 				if got[i].Result != want[i].Result {
 					t.Errorf("cell %d diverged under %s:\n fabric %+v\n local  %+v",
@@ -140,7 +149,7 @@ func TestFaultScheduleSensitivityGrid(t *testing.T) {
 		{Worker: 0, Op: OpSubmit, Call: 1, Fault: Kill},
 		{Worker: 1, Op: OpSubmit, Call: 1, Fault: DuplicateDeliver},
 	}}
-	got, _ := runFaulted(t, jobs, montecarlo.MinShardShots, 3, sch)
+	got, _ := runFaulted(t, jobs, montecarlo.MinShardShots, 3, sch, nil)
 	for i := range want {
 		if got[i].Result != want[i].Result {
 			t.Errorf("cell %d diverged:\n fabric %+v\n local  %+v", i, got[i].Result, want[i].Result)
@@ -174,7 +183,7 @@ func TestFaultScheduleRareGrid(t *testing.T) {
 	}
 	for _, sch := range schedules() {
 		t.Run(sch.Name, func(t *testing.T) {
-			got, _ := runFaulted(t, jobs, montecarlo.MinShardShots, 3, sch)
+			got, _ := runFaulted(t, jobs, montecarlo.MinShardShots, 3, sch, nil)
 			for i := range want {
 				if got[i].Result != want[i].Result {
 					t.Errorf("cell %d diverged under %s:\n fabric %+v\n local  %+v",
@@ -194,7 +203,7 @@ func TestDuplicateAndDropCountersObserved(t *testing.T) {
 	sch := &Schedule{Name: "drop", TTL: ttl, Rules: []Rule{
 		{Worker: 0, Op: OpSubmit, Call: 1, Fault: DropResponse},
 	}}
-	_, stats := runFaulted(t, jobs, montecarlo.MinShardShots, 1, sch)
+	_, stats := runFaulted(t, jobs, montecarlo.MinShardShots, 1, sch, nil)
 	if stats.ResultsDuplicate == 0 {
 		t.Errorf("dropped response produced no duplicate retry (stats %+v)", stats)
 	}
@@ -247,13 +256,23 @@ func TestGoldenRatesThroughFaultedFabric(t *testing.T) {
 		t.Fatalf("built %d cells, fixture has %d", len(jobs), len(want))
 	}
 
+	// Worker 1 dies at its first submit, holding the lease it just ran.
+	// Holding the other workers back until worker 1 owns a lease makes
+	// that submit certain to happen, whatever GOMAXPROCS and poll timing
+	// decide about who wins the race for the first units.
+	const victim = 1
 	sch := &Schedule{Name: "golden-kill", TTL: ttl, Rules: []Rule{
-		{Worker: 1, Op: OpSubmit, Call: 3, Fault: Kill},
+		{Worker: victim, Op: OpSubmit, Call: 1, Fault: Kill},
 	}}
+	ready := make(chan struct{})
+	var once sync.Once
+	lead := func(i int, tr fabric.Transport) fabric.Transport {
+		return leadFirst{Transport: tr, lead: i == victim, ready: ready, once: &once}
+	}
 	// ShardShots 1 is the most aggressive split a caller can request; the
 	// 250-trial cells sit below the MinShardShots floor, so each cell must
 	// still lease as exactly one unit.
-	got, stats := runFaulted(t, jobs, 1, 3, sch)
+	got, stats := runFaulted(t, jobs, 1, 3, sch, lead)
 	if stats.LeasesExpired == 0 {
 		t.Errorf("killed worker's lease never expired (stats %+v); the kill did not land mid-lease", stats)
 	}
@@ -269,4 +288,28 @@ func TestGoldenRatesThroughFaultedFabric(t *testing.T) {
 				g.Result.Failures, g.Result.Trials, w.Failures, w.Trials)
 		}
 	}
+}
+
+// leadFirst holds every worker but the lead out of the lease queue until
+// the lead has been granted a lease.
+type leadFirst struct {
+	fabric.Transport
+	lead  bool
+	ready chan struct{}
+	once  *sync.Once
+}
+
+func (f leadFirst) Lease(ctx context.Context, req fabric.LeaseRequest) (fabric.LeaseResponse, error) {
+	if !f.lead {
+		select {
+		case <-f.ready:
+		case <-ctx.Done():
+			return fabric.LeaseResponse{}, ctx.Err()
+		}
+	}
+	resp, err := f.Transport.Lease(ctx, req)
+	if f.lead && err == nil && resp.Status == fabric.StatusLease {
+		f.once.Do(func() { close(f.ready) })
+	}
+	return resp, err
 }

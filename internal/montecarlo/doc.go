@@ -38,9 +38,11 @@
 // Entry points:
 //
 //   - Config -> Engine.Run: one point, trials split over parallel workers
+//     — the shard plan {Shards: workers}, one RunShardOn per worker,
+//     merged by a ShardAcc
 //   - Engine.RunOn(cfg, *WorkerState): one point single-threaded with
-//     reusable per-worker scratch — the sweep scheduler's per-cell entry;
-//     bit-identical to Run with Workers == 1
+//     reusable per-worker scratch — the one-shard plan through RunShardOn
+//     and MergeShards; bit-identical to Run with Workers == 1
 //   - PlanShards / Engine.RunShardOn / MergeShards: the partial-run API —
 //     a fixed decomposition of one point into shard units the scheduler's
 //     idle workers steal. Shard i consumes worker stream i, a shared
@@ -48,6 +50,11 @@
 //     shards, and a fully executed plan merges bit-identically to Run
 //     with Workers == Shards. PlanShards never splits below the
 //     MinShardShots floor, protecting pinned small cells
+//   - ShardAcc: the one accumulator that records a point's shard outcomes
+//     — write-once slots, first error by shard index, cancellation skips,
+//     the TargetMet early-stop predicate over recorded tallies — and
+//     merges them. Engine.Run, internal/sched, and the internal/fabric
+//     coordinator all merge cells through it
 //   - Engine.ThresholdSweep / Engine.SensitivitySweep: sequential grid
 //     runners; ThresholdCellConfig / SensitivityCellConfig are the
 //     canonical per-cell configurations shared with internal/sched's job

@@ -446,13 +446,6 @@ func (st *WorkerState) pipeline(inner decoder.BatchDecoder) *decoder.Pipeline {
 	return st.pipe
 }
 
-type tally struct {
-	trials, failures, fallbacks int
-	skipped, dedupHits          int
-	stats                       decoder.DecoderStats
-	weighted                    WeightedResult
-}
-
 // runWorker executes worker w's share of one point: sample 64-shot batches
 // from the worker's ChaCha8 stream, decode them, and tally failures. budget
 // coordinates early stopping across the point's workers (or shards) when
@@ -466,8 +459,8 @@ type tally struct {
 // in one CSR pass and deduplicated by full syndrome, decoding each distinct
 // syndrome once. The per-shot predictions are bit-identical to the unpruned
 // path, so trial and failure counts cannot depend on the switch.
-func runWorker(model *dem.Model, graph *dem.Graph, cfg Config, w, trials int, budget *ShardBudget, st *WorkerState) (tally, error) {
-	var t tally
+func runWorker(model *dem.Model, graph *dem.Graph, cfg Config, w, trials int, budget *ShardBudget, st *WorkerState) (ShardResult, error) {
+	var t ShardResult
 	target := int64(cfg.TargetFailures)
 	rng := rand.New(rand.NewChaCha8(workerSeed(cfg.Seed, w)))
 	bs := st.sampler(model)
@@ -485,14 +478,14 @@ func runWorker(model *dem.Model, graph *dem.Graph, cfg Config, w, trials int, bu
 		pipe = st.pipeline(dec)
 	}
 	var out, truth [dem.BatchShots]bool
-	for t.trials < trials {
+	for t.Trials < trials {
 		if budget.aborted.Load() {
 			break
 		}
 		if target > 0 && budget.failures.Load() >= target {
 			break
 		}
-		n := min(dem.BatchShots, trials-t.trials)
+		n := min(dem.BatchShots, trials-t.Trials)
 		bs.SampleN(rng, n)
 		fails := 0
 		if pipe != nil {
@@ -506,7 +499,7 @@ func runWorker(model *dem.Model, graph *dem.Graph, cfg Config, w, trials int, bu
 			// prediction false; the shot fails iff the error flipped the
 			// observable anyway.
 			zero := full &^ mask
-			t.skipped += bits.OnesCount64(zero)
+			t.Skipped += bits.OnesCount64(zero)
 			fails += bits.OnesCount64(obsW & zero)
 			bs.Extract(mask, &st.shots)
 			st.batch.Reset()
@@ -517,7 +510,7 @@ func runWorker(model *dem.Model, graph *dem.Graph, cfg Config, w, trials int, bu
 			if err := pipe.DecodeBatch(&st.batch, out[:st.shots.Len()]); err != nil {
 				return t, err
 			}
-			t.dedupHits += int(pipe.Stats().DedupHits - before)
+			t.DedupHits += int(pipe.Stats().DedupHits - before)
 			for i := 0; i < st.shots.Len(); i++ {
 				if out[i] != (obsW&(1<<uint(st.shots.Index(i))) != 0) {
 					fails++
@@ -539,114 +532,63 @@ func runWorker(model *dem.Model, graph *dem.Graph, cfg Config, w, trials int, bu
 				}
 			}
 		}
-		t.trials += n
-		t.failures += fails
+		t.Trials += n
+		t.Failures += fails
 		if target > 0 && fails > 0 {
 			budget.failures.Add(int64(fails))
 		}
 	}
 	if fb != nil {
-		t.fallbacks = int(fb.Fallbacks)
+		t.Fallbacks = int(fb.Fallbacks)
 	}
 	if statsSrc != nil {
-		t.stats = statsSrc.DecoderStats().Sub(statsBase)
+		t.Stats = statsSrc.DecoderStats().Sub(statsBase)
 	}
 	return t, nil
 }
 
 // Run executes one Monte-Carlo point on the engine, splitting the trials
-// over cfg.Workers goroutines with independent ChaCha8 streams.
+// over cfg.Workers goroutines with independent ChaCha8 streams. The worker
+// split IS a shard split: Run executes the plan {Shards: workers} through
+// RunShardOn, one goroutine per shard sharing one ShardBudget, and merges
+// the shards with a ShardAcc — which is what makes a fully executed shard
+// plan bit-identical to Run with Workers == Shards.
 func (en *Engine) Run(cfg Config) (Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return Result{}, err
 	}
-	model, prop, graph, err := en.prepareModels(cfg, nil)
-	if err != nil {
-		return Result{}, err
-	}
-
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-
-	tallies := make([]tally, workers)
-	errs := make([]error, workers)
+	plan := ShardPlan{Shards: min(workers, cfg.Trials), Trials: cfg.Trials}
+	acc := NewShardAcc(cfg, plan)
 	var budget ShardBudget // early-stop coordination only
-
 	var wg sync.WaitGroup
-	// The worker split IS the shard split: sharing ShardTrials is what
-	// makes a fully merged shard plan bit-identical to Run with
-	// Workers == Shards (worker w and shard w take the same allotment
-	// from the same stream).
-	plan := ShardPlan{Shards: workers, Trials: cfg.Trials}
-	for w := 0; w < workers; w++ {
-		trials := plan.ShardTrials(w)
+	for w := range plan.Shards {
 		wg.Add(1)
-		go func(w, trials int) {
+		go func() {
 			defer wg.Done()
-			var st WorkerState
-			tallies[w], errs[w] = runAnyWorker(model, prop, graph, cfg, w, trials, &budget, &st)
-		}(w, trials)
+			sr, err := en.RunShardOn(cfg, plan, w, &budget, nil)
+			acc.Record(w, sr, err)
+		}()
 	}
 	wg.Wait()
-
-	res := Result{
-		Config:        cfg,
-		Mechanisms:    model.Stats.Mechanisms,
-		DetectorCount: model.NumDets,
-	}
-	for w, t := range tallies {
-		if errs[w] != nil {
-			return Result{}, errs[w]
-		}
-		res.Trials += t.trials
-		res.Failures += t.failures
-		res.Fallbacks += t.fallbacks
-		res.Skipped += t.skipped
-		res.DedupHits += t.dedupHits
-		res.Stats.Add(t.stats)
-		res.Weighted.Add(t.weighted)
-	}
-	return res, nil
+	return acc.Result()
 }
 
 // RunOn executes one Monte-Carlo point single-threaded on the calling
-// goroutine as worker 0, reusing st's buffers across calls — the per-worker
-// entry point of the sweep scheduler. cfg.Workers is ignored, so the result
-// is bit-identical to Run with Workers == 1 and independent of any pool
-// width the caller schedules cells under. st may be nil for one-shot use.
+// goroutine as worker 0, reusing st's buffers across calls: the one-shard
+// plan run through RunShardOn and merged. cfg.Workers is ignored, so the
+// result is bit-identical to Run with Workers == 1 and independent of any
+// pool width the caller schedules cells under. st may be nil for one-shot
+// use.
 func (en *Engine) RunOn(cfg Config, st *WorkerState) (Result, error) {
-	if st == nil {
-		st = &WorkerState{}
-	}
-	if err := cfg.normalize(); err != nil {
-		return Result{}, err
-	}
-	model, prop, graph, err := en.prepareModels(cfg, st)
+	sr, err := en.RunShardOn(cfg, ShardPlan{Shards: 1, Trials: cfg.Trials}, 0, nil, st)
 	if err != nil {
 		return Result{}, err
 	}
-	var budget ShardBudget
-	t, err := runAnyWorker(model, prop, graph, cfg, 0, cfg.Trials, &budget, st)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Config:        cfg,
-		Trials:        t.trials,
-		Failures:      t.failures,
-		Fallbacks:     t.fallbacks,
-		Skipped:       t.skipped,
-		DedupHits:     t.dedupHits,
-		Stats:         t.stats,
-		Mechanisms:    model.Stats.Mechanisms,
-		DetectorCount: model.NumDets,
-		Weighted:      t.weighted,
-	}, nil
+	return MergeShards(cfg, []ShardResult{sr})
 }
 
 // Run executes one Monte-Carlo point on the shared default engine.

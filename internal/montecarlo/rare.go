@@ -251,7 +251,7 @@ func (en *Engine) prepareModels(cfg Config, st *WorkerState) (model, prop *dem.M
 
 // runAnyWorker executes worker w's share of a point in whichever mode the
 // prepared models imply.
-func runAnyWorker(model, prop *dem.Model, graph *dem.Graph, cfg Config, w, trials int, budget *ShardBudget, st *WorkerState) (tally, error) {
+func runAnyWorker(model, prop *dem.Model, graph *dem.Graph, cfg Config, w, trials int, budget *ShardBudget, st *WorkerState) (ShardResult, error) {
 	if prop != nil {
 		return runWeightedWorker(model, prop, graph, cfg, w, trials, budget, st)
 	}
@@ -285,8 +285,8 @@ func (st *WorkerState) weightedSampler(target, prop *dem.Model) (*dem.WeightedBa
 // loop over a failure bitmask, so the weighted sums are bit-identical with
 // the pipeline on or off. Early stop is on budget-pooled relative error
 // (cfg.TargetRelErr), checked at batch boundaries like TargetFailures.
-func runWeightedWorker(target, prop *dem.Model, graph *dem.Graph, cfg Config, w, trials int, budget *ShardBudget, st *WorkerState) (tally, error) {
-	var t tally
+func runWeightedWorker(target, prop *dem.Model, graph *dem.Graph, cfg Config, w, trials int, budget *ShardBudget, st *WorkerState) (ShardResult, error) {
+	var t ShardResult
 	relTarget := cfg.TargetRelErr
 	rng := rand.New(rand.NewChaCha8(workerSeed(cfg.Seed, w)))
 	ws, err := st.weightedSampler(target, prop)
@@ -304,14 +304,14 @@ func runWeightedWorker(target, prop *dem.Model, graph *dem.Graph, cfg Config, w,
 		pipe = st.pipeline(dec)
 	}
 	var out, truth [dem.BatchShots]bool
-	for t.trials < trials {
+	for t.Trials < trials {
 		if budget.aborted.Load() {
 			break
 		}
 		if relTarget > 0 && budget.WeightedRelErrMet(relTarget) {
 			break
 		}
-		n := min(dem.BatchShots, trials-t.trials)
+		n := min(dem.BatchShots, trials-t.Trials)
 		ws.SampleN(rng, n)
 		var failw uint64
 		if pipe != nil {
@@ -322,7 +322,7 @@ func runWeightedWorker(target, prop *dem.Model, graph *dem.Graph, cfg Config, w,
 			mask := ws.EventMask()
 			obsW := ws.ObsWord()
 			zero := full &^ mask
-			t.skipped += bits.OnesCount64(zero)
+			t.Skipped += bits.OnesCount64(zero)
 			failw |= obsW & zero
 			ws.Extract(mask, &st.shots)
 			st.batch.Reset()
@@ -333,7 +333,7 @@ func runWeightedWorker(target, prop *dem.Model, graph *dem.Graph, cfg Config, w,
 			if err := pipe.DecodeBatch(&st.batch, out[:st.shots.Len()]); err != nil {
 				return t, err
 			}
-			t.dedupHits += int(pipe.Stats().DedupHits - before)
+			t.DedupHits += int(pipe.Stats().DedupHits - before)
 			for i := 0; i < st.shots.Len(); i++ {
 				s := st.shots.Index(i)
 				if out[i] != (obsW&(1<<uint(s)) != 0) {
@@ -364,18 +364,18 @@ func runWeightedWorker(target, prop *dem.Model, graph *dem.Graph, cfg Config, w,
 		for s := 0; s < n; s++ {
 			delta.addShot(ws.Weight(s), failw&(1<<uint(s)) != 0)
 		}
-		t.trials += n
-		t.failures += bits.OnesCount64(failw)
-		t.weighted.Add(delta)
+		t.Trials += n
+		t.Failures += bits.OnesCount64(failw)
+		t.Weighted.Add(delta)
 		if relTarget > 0 {
 			budget.AddWeighted(delta)
 		}
 	}
 	if fb != nil {
-		t.fallbacks = int(fb.Fallbacks)
+		t.Fallbacks = int(fb.Fallbacks)
 	}
 	if statsSrc != nil {
-		t.stats = statsSrc.DecoderStats().Sub(statsBase)
+		t.Stats = statsSrc.DecoderStats().Sub(statsBase)
 	}
 	return t, nil
 }

@@ -115,15 +115,6 @@ func (b *ShardBudget) WeightedRelErrMet(target float64) bool {
 	return b.wpool.RelErrMet(target)
 }
 
-// WeightedBanked returns a snapshot of the pooled weighted tally — the
-// scheduler's steal-aware skip reads it to settle unstarted shards of an
-// already-converged rare-event point.
-func (b *ShardBudget) WeightedBanked() WeightedResult {
-	b.wmu.Lock()
-	defer b.wmu.Unlock()
-	return b.wpool
-}
-
 // ShardResult is one shard's tally, mergeable into a Result with
 // MergeShards. It carries the model dimensions so a merge does not need to
 // touch the engine.
@@ -144,13 +135,13 @@ type ShardResult struct {
 }
 
 // RunShardOn executes one shard of a planned point single-threaded on the
-// calling goroutine, reusing st's buffers across calls — the partial-run
-// entry point of the sweep scheduler's work stealing. The shard samples
-// worker stream `shard` of cfg.Seed (the same derivation Engine.Run gives
-// worker `shard`), takes plan.ShardTrials(shard) shots, and coordinates
-// TargetFailures early stopping and cancellation through budget, which must
-// be shared by all shards of the plan. st and budget may be nil for
-// one-shot use.
+// calling goroutine, reusing st's buffers across calls — the one execution
+// entry point under Engine.Run, RunOn, the sweep scheduler's units and
+// fabric leases. The shard samples worker stream `shard` of cfg.Seed (the
+// same derivation Engine.Run gives worker `shard`), takes
+// plan.ShardTrials(shard) shots, and coordinates TargetFailures early
+// stopping and cancellation through budget, which must be shared by all
+// shards of the plan. st and budget may be nil for one-shot use.
 //
 // Determinism contract: with TargetFailures == 0 and no abort, a shard's
 // ShardResult depends only on (cfg, plan, shard) — never on which worker
@@ -179,22 +170,13 @@ func (en *Engine) RunShardOn(cfg Config, plan ShardPlan, shard int, budget *Shar
 	if err != nil {
 		return ShardResult{}, err
 	}
-	t, err := runAnyWorker(model, prop, graph, cfg, shard, plan.ShardTrials(shard), budget, st)
+	sr, err := runAnyWorker(model, prop, graph, cfg, shard, plan.ShardTrials(shard), budget, st)
 	if err != nil {
 		return ShardResult{}, err
 	}
-	return ShardResult{
-		Shard:         shard,
-		Trials:        t.trials,
-		Failures:      t.failures,
-		Fallbacks:     t.fallbacks,
-		Skipped:       t.skipped,
-		DedupHits:     t.dedupHits,
-		Stats:         t.stats,
-		Mechanisms:    model.Stats.Mechanisms,
-		DetectorCount: model.NumDets,
-		Weighted:      t.weighted,
-	}, nil
+	sr.Shard = shard
+	sr.Mechanisms, sr.DetectorCount = model.Stats.Mechanisms, model.NumDets
+	return sr, nil
 }
 
 // MergeShards folds the shards of one point into a single Result. The fold
@@ -237,4 +219,118 @@ func MergeShards(cfg Config, parts []ShardResult) (Result, error) {
 	res.Mechanisms = first.Mechanisms
 	res.DetectorCount = first.DetectorCount
 	return res, nil
+}
+
+// ShardAcc accumulates the shard outcomes of one planned point and merges
+// them: the single record/settle/merge path behind Engine.Run's workers,
+// the sweep scheduler's stolen shard units, and the fabric coordinator's
+// leased ones. Each shard's slot is written at most once, so a late
+// duplicate — a retried delivery, an expired lease racing its replacement
+// — is ignored. Recorded tallies bank toward the point's early-stop target
+// (TargetMet), and Result merges the slots with MergeShards. A ShardAcc is
+// safe for concurrent use.
+type ShardAcc struct {
+	cfg Config
+
+	mu        sync.Mutex
+	filled    []bool
+	parts     []ShardResult  // by shard index
+	errs      []error        // by shard index
+	remaining int            // slots not yet filled
+	skipErr   error          // cause of the first shard skipped by cancellation
+	failures  int64          // recorded failures, toward TargetFailures
+	weighted  WeightedResult // recorded weighted tallies, toward TargetRelErr
+}
+
+// NewShardAcc returns an empty accumulator for cfg's shard plan.
+func NewShardAcc(cfg Config, plan ShardPlan) *ShardAcc {
+	return &ShardAcc{
+		cfg:       cfg,
+		filled:    make([]bool, plan.Shards),
+		parts:     make([]ShardResult, plan.Shards),
+		errs:      make([]error, plan.Shards),
+		remaining: plan.Shards,
+	}
+}
+
+// Record files shard's outcome: its tally, or the error that ended it. A
+// shard outside the plan or already filed is ignored. Record reports
+// whether this call filled the point's last open slot — exactly one Record
+// or Skip per point returns true, and its caller delivers the cell.
+func (a *ShardAcc) Record(shard int, sr ShardResult, err error) bool {
+	return a.file(shard, sr, err, nil)
+}
+
+// Skip files shard as skipped (or aborted mid-run) by cancellation, with
+// the cancellation's cause. The point can then no longer merge completely:
+// Skipped reports true and Result returns an error.
+func (a *ShardAcc) Skip(shard int, cause error) bool {
+	return a.file(shard, ShardResult{}, nil, cause)
+}
+
+func (a *ShardAcc) file(shard int, sr ShardResult, err, skip error) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if shard < 0 || shard >= len(a.filled) || a.filled[shard] {
+		return false
+	}
+	a.filled[shard] = true
+	a.remaining--
+	sr.Shard = shard
+	a.parts[shard], a.errs[shard] = sr, err
+	switch {
+	case skip != nil:
+		if a.skipErr == nil {
+			a.skipErr = skip
+		}
+	case err == nil:
+		a.failures += int64(sr.Failures)
+		a.weighted.Add(sr.Weighted)
+	}
+	return a.remaining == 0
+}
+
+// TargetMet reports whether the recorded tallies reach the point's
+// early-stop target: TargetFailures failures, or a pooled weighted
+// estimate at TargetRelErr. Callers settle a shard that has not started
+// as empty once it holds. It reads recorded shards only, never a live
+// ShardBudget, so no tally is banked twice; in-flight shards stop
+// themselves on their budget. A point without a target never meets it.
+func (a *ShardAcc) TargetMet() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if tf := a.cfg.TargetFailures; tf > 0 && a.failures >= int64(tf) {
+		return true
+	}
+	return a.weighted.RelErrMet(a.cfg.TargetRelErr)
+}
+
+// Skipped reports whether any shard was filed by Skip. A skipped point
+// must never be delivered: consumers see no partial merges.
+func (a *ShardAcc) Skipped() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.skipErr != nil
+}
+
+// Result merges the filed shards into the point's Result. A genuine shard
+// error wins, the first by shard index rather than by arrival, so the
+// outcome does not depend on completion order. It outranks the
+// cancellation cause of a skipped shard, so an operator debugging a
+// failing cell sees the real cause rather than "canceled".
+func (a *ShardAcc) Result() (Result, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, err := range a.errs {
+		if err != nil {
+			return Result{}, err
+		}
+	}
+	if a.skipErr != nil {
+		return Result{}, a.skipErr
+	}
+	if a.remaining > 0 {
+		return Result{}, fmt.Errorf("montecarlo: merge with %d of %d shards outstanding", a.remaining, len(a.parts))
+	}
+	return MergeShards(a.cfg, a.parts)
 }

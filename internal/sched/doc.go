@@ -5,10 +5,16 @@
 //
 // # Execution model
 //
-// Each cell executes single-threaded on whichever pool worker picks it up
-// (montecarlo.Engine.RunOn as worker 0 of its own point), so a cell's
-// result depends only on its Config — never on the pool width or on which
-// cells finished first. Workers thread one montecarlo.WorkerState through
+// Each unit — a whole cell, or one shard of it — executes single-threaded
+// on whichever pool worker picks it up (montecarlo.Engine.RunShardOn) and
+// files its outcome into its cell's montecarlo.ShardAcc, the accumulator
+// the fabric coordinator and Engine.Run share. The unit that fills the
+// cell's last slot merges and emits it. An unsharded cell is the one-shard
+// plan, which is exactly Engine.RunOn, so a cell's result depends only on
+// its Config — never on the pool width or on which cells finished first.
+// A cell with Config.Workers > 1 plans one shard per worker, which merges
+// bit-identically to Engine.Run. The scheduler itself holds only its unit
+// counter, one ShardBudget per cell, and its workers. Workers thread one montecarlo.WorkerState through
 // their consecutive units, reusing sampler tables, union-find arrays, and
 // batch buffers across the noise scales of a row; the engine's bounded
 // structure cache does the same for the expensive structural halves.
@@ -31,8 +37,8 @@
 // (montecarlo.PlanShards; positive thresholds below
 // montecarlo.MinShardShots are raised to that floor) that idle workers
 // steal from the same queue. Shard i of a cell consumes ChaCha8 worker
-// stream i of the cell's seed, and the last shard to finish merges the
-// parts (montecarlo.MergeShards) into the cell's one CellResult. The
+// stream i of the cell's seed, and the cell's ShardAcc merges the parts
+// (montecarlo.MergeShards) into the cell's one CellResult. The
 // invariant: a shard plan derives from the cell spec and the threshold
 // alone — never from pool width or runtime state — so a sharded cell's
 // merged result is bit-identical at every pool width, and equals
@@ -46,7 +52,11 @@
 // stopping through one shared montecarlo.ShardBudget: every shard banks
 // its failures into the budget's atomic and checks it per 64-shot batch,
 // so the whole cell stops soon after the target is met no matter which
-// shard met it. The contract: failure and trial counts merge
+// shard met it. A unit that reaches the front of the queue once the cell's
+// finished shards met the target (ShardAcc.TargetMet, which covers
+// TargetRelErr too) is settled as an empty shard without touching the
+// engine. The predicate reads recorded tallies only, so nothing is banked
+// twice against the live budget. The contract: failure and trial counts merge
 // deterministically from whatever the shards report, but WHICH shot a
 // sharded point stops at is timing-dependent — the same trade
 // montecarlo.Engine.Run's workers have always made. Fixed-trial sharded

@@ -14,9 +14,9 @@ import (
 
 // Job is one sweep cell: a Monte-Carlo point configuration plus an opaque
 // caller tag carried through to the result (grid coordinates, typically).
-// If Cfg.Workers is 0 the cell runs single-threaded; an explicit positive
-// value is honored via the engine's parallel path, which trades per-worker
-// state reuse for intra-cell parallelism.
+// If Cfg.Workers is 0 or 1 the cell runs single-threaded; a larger value
+// plans the cell as one shard per worker, which the pool's workers execute
+// in parallel and merge bit-identically to montecarlo.Engine.Run.
 type Job struct {
 	Cfg montecarlo.Config
 	Tag any
@@ -82,11 +82,10 @@ type Options struct {
 	// single-threaded result. With Config.TargetFailures set, shards
 	// coordinate early stop through one shared atomic budget, and the
 	// shots taken depend on shard timing (exactly as Run's workers always
-	// have); shard units reaching the front of the queue after the target
-	// is already banked are settled as empty without touching the engine,
-	// so a satisfied cell stops spawning decode work entirely. Cells with
-	// Config.Workers > 1 already parallelize internally and are never
-	// sharded.
+	// have); shard units reaching the front of the queue after finished
+	// shards banked the target are settled as empty without touching the
+	// engine, so a satisfied cell stops spawning decode work entirely.
+	// Cells with Config.Workers > 1 plan one shard per worker regardless.
 	ShardShots int
 }
 
@@ -124,115 +123,24 @@ func (s *Scheduler) width(n int) int {
 	return w
 }
 
-// cellRun is the execution state of one cell: its fixed shard plan, the
-// budget its shards share, and the merge accumulator. For unsharded cells
-// (plan.Shards == 1) the direct Result is stored as-is, preserving the
-// RunOn path bit for bit.
-type cellRun struct {
-	index  int
-	job    Job
-	plan   montecarlo.ShardPlan
-	budget montecarlo.ShardBudget
-
-	mu        sync.Mutex
-	remaining int                      // shards not yet finished or skipped
-	parts     []montecarlo.ShardResult // by shard index (sharded cells)
-	errs      []error                  // by shard index
-	skipErr   error                    // set when any shard was skipped by cancellation
-	direct    montecarlo.Result        // unsharded result
-}
-
-// buildQueue fixes the execution plan for a sweep through BuildUnitQueue —
-// per-cell shard plans and the flat unit queue workers steal from — and
-// wraps each cell's plan in its local execution state.
-func (s *Scheduler) buildQueue(jobs []Job) ([]*cellRun, []Unit) {
-	q := BuildUnitQueue(jobs, s.opts.ShardShots, s.opts.Queue)
-	cells := make([]*cellRun, len(jobs))
-	for i, job := range jobs {
-		plan := q.Plans[i]
-		c := &cellRun{index: i, job: job, plan: plan, remaining: plan.Shards}
-		if plan.Shards > 1 {
-			c.parts = make([]montecarlo.ShardResult, plan.Shards)
-			c.errs = make([]error, plan.Shards)
-		}
-		cells[i] = c
-	}
-	return cells, q.Units
-}
-
-// finishUnit records one unit's outcome on its cell and, when it was the
-// cell's last outstanding unit, merges and emits the CellResult. skipErr
-// marks a unit that was skipped (or aborted mid-run) by cancellation; a
-// cell with any skipped unit carries that error and is never emitted, so
-// consumers see no partial merges.
-func (s *Scheduler) finishUnit(c *cellRun, u Unit, sr montecarlo.ShardResult, err, skipErr error,
-	results []CellResult, emit func(CellResult), emitMu *sync.Mutex) {
-	c.mu.Lock()
-	if c.plan.Shards > 1 {
-		c.parts[u.Shard] = sr
-		c.errs[u.Shard] = err
-	}
-	if skipErr != nil && c.skipErr == nil {
-		c.skipErr = skipErr
-	}
-	c.remaining--
-	last := c.remaining == 0
-	c.mu.Unlock()
-	if err != nil && c.plan.Shards > 1 {
-		// A failed shard dooms the cell; stop its siblings early.
-		c.budget.Abort()
-	}
-	if !last {
-		return
-	}
-
-	r := CellResult{Index: c.index, Job: c.job}
-	if c.skipErr != nil {
-		// A genuine shard execution error outranks the cancellation error:
-		// an operator debugging a failing cell should see the real cause,
-		// not just "canceled".
-		r.Err = c.skipErr
-		for _, e := range c.errs {
-			if e != nil {
-				r.Err = e
-				break
-			}
-		}
-		results[c.index] = r
-		return // skipped cells are never emitted
-	}
-	if c.plan.Shards == 1 {
-		r.Result, r.Err = c.direct, err
-	} else {
-		for _, e := range c.errs { // deterministic: first error by shard index
-			if e != nil {
-				r.Err = e
-				break
-			}
-		}
-		if r.Err == nil {
-			r.Result, r.Err = montecarlo.MergeShards(c.job.Cfg, c.parts)
-		}
-	}
-	results[c.index] = r
-	if emit != nil {
-		emitMu.Lock()
-		emit(r)
-		emitMu.Unlock()
-	}
-}
-
 // run drains the jobs through the pool, storing each cell at its index and
 // emitting it (serialized) as it finishes. The queue holds units — whole
 // cells, or stolen shards of cells above the sharding threshold — ordered
-// longest-cell-first under OrderCost. Cancellation is observed at unit
-// boundaries: once ctx is done, workers stop picking up new units, mark the
-// affected cells with ctx's error (without emitting them), and in-flight
-// shards of sharded cells abort at their next batch boundary (their cell
-// can no longer complete, so finishing them is wasted work). In-flight
-// unsharded cells keep the documented run-to-completion semantics.
+// longest-cell-first under OrderCost; each cell's units file into one
+// montecarlo.ShardAcc, and the unit that fills its last slot merges and
+// emits the cell. Cancellation is observed at unit boundaries: once ctx is
+// done, workers stop picking up new units and skip them with ctx's error,
+// and in-flight shards of sharded cells abort at their next batch boundary
+// (their cell can no longer complete, so finishing them is wasted work). A
+// cell with a skipped unit is stored but never emitted. In-flight unsharded
+// cells keep the documented run-to-completion semantics.
 func (s *Scheduler) run(ctx context.Context, jobs []Job, results []CellResult, emit func(CellResult)) {
-	cells, units := s.buildQueue(jobs)
+	q := BuildUnitQueue(jobs, s.opts.ShardShots, s.opts.Queue)
+	accs := make([]*montecarlo.ShardAcc, len(jobs))
+	for i, job := range jobs {
+		accs[i] = montecarlo.NewShardAcc(job.Cfg, q.Plans[i])
+	}
+	budgets := make([]montecarlo.ShardBudget, len(jobs))
 
 	if done := ctx.Done(); done != nil {
 		finished := make(chan struct{})
@@ -240,9 +148,9 @@ func (s *Scheduler) run(ctx context.Context, jobs []Job, results []CellResult, e
 		go func() {
 			select {
 			case <-done:
-				for _, c := range cells {
-					if c.plan.Shards > 1 {
-						c.budget.Abort()
+				for i, plan := range q.Plans {
+					if plan.Shards > 1 {
+						budgets[i].Abort()
 					}
 				}
 			case <-finished:
@@ -253,56 +161,55 @@ func (s *Scheduler) run(ctx context.Context, jobs []Job, results []CellResult, e
 	var next atomic.Int64
 	var emitMu sync.Mutex
 	var wg sync.WaitGroup
-	for w := 0; w < s.width(len(units)); w++ {
+	for w := 0; w < s.width(len(q.Units)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var st montecarlo.WorkerState
 			for {
 				k := int(next.Add(1)) - 1
-				if k >= len(units) {
+				if k >= len(q.Units) {
 					return
 				}
-				u := units[k]
-				c := cells[u.Cell]
-				if err := ctx.Err(); err != nil {
-					s.finishUnit(c, u, montecarlo.ShardResult{}, nil, err, results, emit, &emitMu)
-					continue
-				}
-				var sr montecarlo.ShardResult
-				var err error
-				if c.plan.Shards == 1 {
-					if c.job.Cfg.Workers > 1 {
-						c.direct, err = s.en.Run(c.job.Cfg)
-					} else {
-						c.direct, err = s.en.RunOn(c.job.Cfg, &st)
-					}
-				} else if tf := c.job.Cfg.TargetFailures; tf > 0 && c.budget.Failures() >= int64(tf) {
+				u := q.Units[k]
+				acc, budget := accs[u.Cell], &budgets[u.Cell]
+				var last bool
+				if cerr := ctx.Err(); cerr != nil {
+					last = acc.Skip(u.Shard, cerr)
+				} else if acc.TargetMet() {
 					// Steal-aware early stop: sibling shards already banked
-					// the cell's failure target, so this unit would observe
-					// the met budget and exit after zero batches. Settle it
-					// as an empty shard without paying the engine prepare;
+					// the cell's target, so this unit would observe the met
+					// budget and exit after zero batches. Settle it as an
+					// empty shard without paying the engine prepare;
 					// MergeShards takes the model dimensions from the lowest
 					// shard that actually ran.
-					sr = montecarlo.ShardResult{Shard: u.Shard}
-				} else if re := c.job.Cfg.TargetRelErr; re > 0 && c.budget.WeightedRelErrMet(re) {
-					// Weighted sibling of the failure-target skip: the pooled
-					// weighted estimate already reached the target relative
-					// error, so settle the unit empty.
-					sr = montecarlo.ShardResult{Shard: u.Shard}
+					last = acc.Record(u.Shard, montecarlo.ShardResult{}, nil)
 				} else {
-					sr, err = s.en.RunShardOn(c.job.Cfg, c.plan, u.Shard, &c.budget, &st)
-				}
-				// An abort observed alongside cancellation means this unit's
-				// tally may be short; treat the cell as skipped rather than
-				// merging a partial shard.
-				var skipErr error
-				if c.plan.Shards > 1 && c.budget.Aborted() {
-					if cerr := ctx.Err(); cerr != nil {
-						skipErr = cerr
+					sr, err := s.en.RunShardOn(jobs[u.Cell].Cfg, q.Plans[u.Cell], u.Shard, budget, &st)
+					if err != nil {
+						// A failed shard dooms the cell; stop its siblings early.
+						budget.Abort()
+					}
+					// An abort observed alongside cancellation means this
+					// unit's tally may be short; skip it rather than merge a
+					// partial shard.
+					if cerr := ctx.Err(); cerr != nil && err == nil && budget.Aborted() {
+						last = acc.Skip(u.Shard, cerr)
+					} else {
+						last = acc.Record(u.Shard, sr, err)
 					}
 				}
-				s.finishUnit(c, u, sr, err, skipErr, results, emit, &emitMu)
+				if !last {
+					continue
+				}
+				r := CellResult{Index: u.Cell, Job: jobs[u.Cell]}
+				r.Result, r.Err = acc.Result()
+				results[u.Cell] = r
+				if emit != nil && !acc.Skipped() {
+					emitMu.Lock()
+					emit(r)
+					emitMu.Unlock()
+				}
 			}
 		}()
 	}

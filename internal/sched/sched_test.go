@@ -69,6 +69,31 @@ func TestSchedulerCellMatchesDirectRun(t *testing.T) {
 	}
 }
 
+// A cell asking for Workers > 1 plans one shard per worker, so the pool's
+// merge must equal Engine.Run's own worker split bit for bit — at any pool
+// width, with or without a shard threshold.
+func TestMultiWorkerCellMatchesEngineRun(t *testing.T) {
+	en := montecarlo.NewEngine()
+	cfg := montecarlo.ThresholdCellConfig(extract.Baseline, 3, 8e-3, hardware.Default(),
+		2*montecarlo.MinShardShots+137, 5, montecarlo.UF, montecarlo.SweepOptions{})
+	cfg.Workers = 3
+	want, err := en.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{1, 4} {
+		for _, shardShots := range []int{0, montecarlo.MinShardShots} {
+			results, err := New(en, Options{Jobs: width, ShardShots: shardShots}).Run([]Job{{Cfg: cfg}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := results[0].Result; got != want {
+				t.Errorf("width %d shardShots %d: scheduled\n %+v\nEngine.Run\n %+v", width, shardShots, got, want)
+			}
+		}
+	}
+}
+
 // Run returns results in submission order with the jobs' tags intact, and
 // OnResult fires exactly once per cell. The non-atomic counter inside the
 // callback doubles as a serialization check under -race.

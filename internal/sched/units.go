@@ -32,14 +32,16 @@ type UnitQueue struct {
 // worker count, or any runtime state — which is what makes results
 // reproducible across any execution of the queue, local or remote: same
 // jobs + same shardShots => same plans => same per-shard ChaCha8 streams.
-// Cells with Cfg.Workers > 1 parallelize internally and are never sharded.
+// A cell with Cfg.Workers > 1 plans as Engine.Run splits it — one shard per
+// worker, whatever shardShots says — so the pool's workers execute its
+// intra-cell parallelism and the merge is bit-identical to Engine.Run.
 func BuildUnitQueue(jobs []Job, shardShots int, order QueueOrder) UnitQueue {
 	q := UnitQueue{Plans: make([]montecarlo.ShardPlan, len(jobs))}
 	nunits := 0
 	for i, job := range jobs {
-		plan := montecarlo.ShardPlan{Shards: 1, Trials: job.Cfg.Trials}
-		if shardShots > 0 && job.Cfg.Workers <= 1 {
-			plan = montecarlo.PlanShards(job.Cfg.Trials, shardShots)
+		plan := montecarlo.PlanShards(job.Cfg.Trials, shardShots)
+		if w := job.Cfg.Workers; w > 1 {
+			plan.Shards = max(min(w, job.Cfg.Trials), 1)
 		}
 		q.Plans[i] = plan
 		nunits += plan.Shards

@@ -29,6 +29,7 @@ func TestFileLedgerReplaysAcrossRestart(t *testing.T) {
 	if status.State != StateDone {
 		t.Fatalf("cold sweep ended %q (error %q)", status.State, status.Error)
 	}
+	first = byIndex(t, first)
 
 	led2, err := OpenFileLedger(path)
 	if err != nil {
@@ -43,6 +44,7 @@ func TestFileLedgerReplaysAcrossRestart(t *testing.T) {
 	if status2.State != StateDone {
 		t.Fatalf("replayed sweep ended %q (error %q)", status2.State, status2.Error)
 	}
+	second = byIndex(t, second)
 	st := getStats(t, ts2)
 	if st.Engine.Builds != 0 {
 		t.Errorf("replayed sweep built %d structures on a fresh engine, want 0", st.Engine.Builds)

@@ -130,6 +130,23 @@ func stripSource(rec CellRecord) CellRecord {
 	return rec
 }
 
+// byIndex returns a stream's records in cell-index order. Records arrive
+// in completion order; the index each one carries is the stable key, so
+// tests compare streams through it, never by arrival position.
+func byIndex(t *testing.T, recs []CellRecord) []CellRecord {
+	t.Helper()
+	out := make([]CellRecord, len(recs))
+	seen := make([]bool, len(recs))
+	for _, rec := range recs {
+		if rec.Index < 0 || rec.Index >= len(recs) || seen[rec.Index] {
+			t.Fatalf("stream of %d cells carries bad or repeated index %d", len(recs), rec.Index)
+		}
+		seen[rec.Index] = true
+		out[rec.Index] = rec
+	}
+	return out
+}
+
 // The acceptance path: a Fig. 11 row streams per-cell NDJSON records and
 // ends done; an identical second submission is served entirely from the
 // result ledger — no engine work at all, not even cache hits — and a
@@ -142,6 +159,7 @@ func TestSubmitStreamCompleteAndRepeatHitsCache(t *testing.T) {
 	if status.State != StateDone {
 		t.Fatalf("first sweep state %q, want %q (error %q)", status.State, StateDone, status.Error)
 	}
+	first = byIndex(t, first)
 	if len(first) != 3 || status.Cells != 3 || status.Completed != 3 {
 		t.Fatalf("first sweep: %d cells streamed, status %+v", len(first), status)
 	}
@@ -169,6 +187,7 @@ func TestSubmitStreamCompleteAndRepeatHitsCache(t *testing.T) {
 	if status2.State != StateDone {
 		t.Fatalf("second sweep state %q (error %q)", status2.State, status2.Error)
 	}
+	second = byIndex(t, second)
 	after := getStats(t, ts)
 	// Ledger-served: the engine was not consulted at all.
 	if after.Engine.Builds != before.Engine.Builds || after.Engine.Hits != before.Engine.Hits {
@@ -195,6 +214,7 @@ func TestSubmitStreamCompleteAndRepeatHitsCache(t *testing.T) {
 	if status3.State != StateDone {
 		t.Fatalf("no_cache sweep state %q (error %q)", status3.State, status3.Error)
 	}
+	third = byIndex(t, third)
 	final := getStats(t, ts)
 	if final.Engine.Builds != after.Engine.Builds {
 		t.Errorf("no_cache sweep rebuilt structures: %d -> %d builds",
@@ -249,7 +269,13 @@ func TestConcurrentSubmitsShareCachedStructures(t *testing.T) {
 		t.Errorf("ledger hits (%d) + coalesce hits (%d) = %d, want 9 (12 cells, 3 engine runs)",
 			st.Ledger.Hits, st.Ledger.CoalesceHits, dedup)
 	}
+	for k := range streams {
+		streams[k] = byIndex(t, streams[k])
+	}
 	for k := 1; k < len(streams); k++ {
+		if len(streams[k]) != len(streams[0]) {
+			t.Fatalf("stream %d has %d cells, stream 0 has %d", k, len(streams[k]), len(streams[0]))
+		}
 		for i := range streams[0] {
 			if stripSource(streams[0][i]) != stripSource(streams[k][i]) {
 				t.Errorf("stream %d cell %d diverged:\n  %+v\n  %+v",
@@ -639,6 +665,7 @@ func TestDecodePipelineCountersAndToggle(t *testing.T) {
 	if status.State != StateDone {
 		t.Fatalf("pipeline-on sweep state %q (error %q)", status.State, status.Error)
 	}
+	on = byIndex(t, on)
 	var shots, skipped, dedup int
 	for _, rec := range on {
 		shots += rec.Trials
@@ -662,6 +689,7 @@ func TestDecodePipelineCountersAndToggle(t *testing.T) {
 	if len(off) != len(on) {
 		t.Fatalf("pipeline-off sweep streamed %d cells, on %d", len(off), len(on))
 	}
+	off = byIndex(t, off)
 	for i := range off {
 		if off[i].Skipped != 0 || off[i].DedupHits != 0 {
 			t.Errorf("cell %d: disabled pipeline reported counters %d/%d",
