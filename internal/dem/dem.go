@@ -7,7 +7,9 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/circuit"
 	"repro/internal/extract"
+	"repro/internal/pauli"
 	"repro/internal/pframe"
 )
 
@@ -112,27 +114,17 @@ func fnv1aFootprint(dets []int32, obs bool) uint64 {
 	return h
 }
 
-// BuildStructure enumerates and propagates every elementary fault of the
-// experiment's circuit (ops with a positive error probability) and merges
-// identical footprints into mechanisms, recording per-mechanism fault
-// sources instead of probabilities. Faults of ops annotated with zero
-// probability are not represented; build experiments with every relevant
-// noise class positive (hardware.Default is) if they are to be reweighted.
+// BuildStructure derives every elementary fault's footprint (ops with a
+// positive error probability) in one backward sensitivity sweep over the
+// circuit and merges identical footprints into mechanisms, recording
+// per-mechanism fault sources instead of probabilities. Faults of ops
+// annotated with zero probability are not represented; build experiments
+// with every relevant noise class positive (hardware.Default is) if they
+// are to be reweighted.
 func BuildStructure(e *extract.Experiment) (*Structure, error) {
 	ndet := len(e.Detectors)
-	// Invert detector definitions: measurement -> detectors containing it.
-	measDets := make([][]int32, e.Circ.NumMeas)
-	for di, det := range e.Detectors {
-		for _, m := range det.Meas {
-			measDets[m] = append(measDets[m], int32(di))
-		}
-	}
-	measObs := make([]bool, e.Circ.NumMeas)
-	for _, m := range e.Observable {
-		measObs[m] = !measObs[m]
-	}
+	fp := sweepFootprints(e)
 
-	prop := pframe.NewPropagator(e.Circ)
 	s := &Structure{NumDets: ndet, NumOps: e.Circ.NumOps()}
 	s.detOff = append(s.detOff, 0)
 
@@ -141,77 +133,49 @@ func BuildStructure(e *extract.Experiment) (*Structure, error) {
 	var srcOps []int32                  // source k: global op
 	var srcDivs []float64               // source k: branch divisor
 
-	detParity := make(map[int32]bool, 8)
-	var dets []int32
-	var faults []pframe.WeightedFault
-
-	gid := int32(-1)
-	for mi := range e.Circ.Moments {
-		m := &e.Circ.Moments[mi]
-		for oi := range m.Ops {
-			gid++
-			op := &m.Ops[oi]
-			faults = pframe.FaultsOf(mi, oi, op, faults[:0])
-			if len(faults) == 0 {
-				continue
+	// The sweep recorded ops last to first; merging them first to last
+	// visits faults in enumeration order, so mechanism order and source
+	// order match a forward per-fault build.
+	for r := len(fp.ops) - 1; r >= 0; r-- {
+		op := fp.ops[r]
+		for f := op.first; f < op.first+op.n; f++ {
+			s.Stats.Faults++
+			dets, obs := fp.dets[fp.off[f]:fp.off[f+1]], fp.obs[f]
+			if len(dets) == 0 {
+				if obs {
+					s.Stats.UndetectableObs++
+				} else {
+					s.Stats.Harmless++
+					continue
+				}
 			}
-			div := float64(pframe.BranchCount(op.Kind))
-			for fi := range faults {
-				s.Stats.Faults++
-				flips := prop.Propagate(faults[fi].Fault)
-				clear(detParity)
-				obs := false
-				for _, meas := range flips {
-					for _, d := range measDets[meas] {
-						detParity[d] = !detParity[d]
-					}
-					if measObs[meas] {
-						obs = !obs
-					}
-				}
-				dets = dets[:0]
-				for d, v := range detParity {
-					if v {
-						dets = append(dets, d)
-					}
-				}
-				if len(dets) == 0 {
-					if obs {
-						s.Stats.UndetectableObs++
-					} else {
-						s.Stats.Harmless++
-						continue
-					}
-				}
-				slices.Sort(dets)
-				if len(dets) > s.Stats.MaxFootprint {
-					s.Stats.MaxFootprint = len(dets)
-				}
-				if len(dets) > 2 {
-					s.Stats.MultiDetFaults++
-				}
-
-				// Find or create the mechanism with this footprint.
-				h := fnv1aFootprint(dets, obs)
-				mech := int32(-1)
-				for _, cand := range buckets[h] {
-					if s.obs[cand] == obs && slices.Equal(s.dets[s.detOff[cand]:s.detOff[cand+1]], dets) {
-						mech = cand
-						break
-					}
-				}
-				if mech < 0 {
-					mech = int32(len(s.obs))
-					s.dets = append(s.dets, dets...)
-					s.detOff = append(s.detOff, int32(len(s.dets)))
-					s.obs = append(s.obs, obs)
-					srcs = append(srcs, nil)
-					buckets[h] = append(buckets[h], mech)
-				}
-				srcs[mech] = append(srcs[mech], int32(len(srcOps)))
-				srcOps = append(srcOps, gid)
-				srcDivs = append(srcDivs, div)
+			if len(dets) > s.Stats.MaxFootprint {
+				s.Stats.MaxFootprint = len(dets)
 			}
+			if len(dets) > 2 {
+				s.Stats.MultiDetFaults++
+			}
+
+			// Find or create the mechanism with this footprint.
+			h := fnv1aFootprint(dets, obs)
+			mech := int32(-1)
+			for _, cand := range buckets[h] {
+				if s.obs[cand] == obs && slices.Equal(s.dets[s.detOff[cand]:s.detOff[cand+1]], dets) {
+					mech = cand
+					break
+				}
+			}
+			if mech < 0 {
+				mech = int32(len(s.obs))
+				s.dets = append(s.dets, dets...)
+				s.detOff = append(s.detOff, int32(len(s.dets)))
+				s.obs = append(s.obs, obs)
+				srcs = append(srcs, nil)
+				buckets[h] = append(buckets[h], mech)
+			}
+			srcs[mech] = append(srcs[mech], int32(len(srcOps)))
+			srcOps = append(srcOps, op.gid)
+			srcDivs = append(srcDivs, op.div)
 		}
 	}
 	if s.Stats.UndetectableObs > 0 {
@@ -231,6 +195,168 @@ func BuildStructure(e *extract.Experiment) (*Structure, error) {
 	}
 	s.Stats.Mechanisms = s.NumMechanisms()
 	return s, nil
+}
+
+// faultFootprints holds the footprint of every elementary fault, grouped
+// by op in the order the backward sweep visited them (last op first;
+// within an op, branches in pframe.FaultsOf order).
+type faultFootprints struct {
+	ops  []faultOp
+	dets []int32 // fault f flips dets[off[f]:off[f+1]] (sorted)
+	off  []int32
+	obs  []bool // fault f flips the observable
+}
+
+// faultOp is one noisy op's run of faults in faultFootprints.
+type faultOp struct {
+	gid      int32   // global op index
+	first, n int32   // faults first .. first+n-1
+	div      float64 // branch divisor, pframe.BranchCount
+}
+
+// sensitivity is what a Pauli component on one slot flips if it occurs at
+// the sweep's current point: a sorted detector set and the observable bit.
+type sensitivity struct {
+	dets []int32
+	obs  bool
+}
+
+// xorInto sets s to s XOR o (symmetric difference of the detector sets),
+// computing into *tmp and swapping backings so no allocation is needed
+// once the buffers have grown.
+func (s *sensitivity) xorInto(o []int32, obs bool, tmp *[]int32) {
+	*tmp = symDiff((*tmp)[:0], s.dets, o)
+	s.dets, *tmp = *tmp, s.dets
+	s.obs = s.obs != obs
+}
+
+func (s *sensitivity) clear() { s.dets, s.obs = s.dets[:0], false }
+
+// addPauli XORs the sensitivities of Pauli p on one slot (X part x, Z
+// part z) into s.
+func (s *sensitivity) addPauli(p pauli.Pauli, x, z *sensitivity, tmp *[]int32) {
+	if p.XBit() {
+		s.xorInto(x.dets, x.obs, tmp)
+	}
+	if p.ZBit() {
+		s.xorInto(z.dets, z.obs, tmp)
+	}
+}
+
+// symDiff appends the symmetric difference of sorted sets a and b to dst.
+func symDiff(dst, a, b []int32) []int32 {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
+			i++
+		case a[i] > b[j]:
+			dst = append(dst, b[j])
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
+// sweepFootprints computes every elementary fault's footprint in one
+// reverse walk over the circuit (the backward error analysis Stim uses).
+// The walk keeps, per slot, the detectors and observable bit an X and a Z
+// error would flip at the current point; a fault injected right after an
+// op flips the XOR of its Paulis' sensitivities there, and stepping back
+// through the op applies the transpose of its frame update. This replaces
+// propagating each fault forward (O(faults × ops)) with a few small sorted
+// set updates per op.
+func sweepFootprints(e *extract.Experiment) *faultFootprints {
+	c := e.Circ
+	// Invert detector definitions: measurement -> detectors containing it
+	// an odd number of times (sorted, since detectors are visited in
+	// order and a repeat cancels its adjacent twin).
+	measDets := make([][]int32, c.NumMeas)
+	for di, det := range e.Detectors {
+		for _, m := range det.Meas {
+			if l := len(measDets[m]); l > 0 && measDets[m][l-1] == int32(di) {
+				measDets[m] = measDets[m][:l-1]
+			} else {
+				measDets[m] = append(measDets[m], int32(di))
+			}
+		}
+	}
+	measObs := make([]bool, c.NumMeas)
+	for _, m := range e.Observable {
+		measObs[m] = !measObs[m]
+	}
+
+	sx := make([]sensitivity, c.NumSlots)
+	sz := make([]sensitivity, c.NumSlots)
+	var tmp, acc []int32
+	fp := &faultFootprints{off: []int32{0}}
+	var faults []pframe.WeightedFault
+
+	gid := int32(c.NumOps())
+	for mi := len(c.Moments) - 1; mi >= 0; mi-- {
+		m := &c.Moments[mi]
+		for oi := len(m.Ops) - 1; oi >= 0; oi-- {
+			gid--
+			op := &m.Ops[oi]
+			if faults = pframe.FaultsOf(mi, oi, op, faults[:0]); len(faults) > 0 {
+				fp.ops = append(fp.ops, faultOp{
+					gid:   gid,
+					first: int32(len(fp.obs)),
+					n:     int32(len(faults)),
+					div:   float64(pframe.BranchCount(op.Kind)),
+				})
+				for fi := range faults {
+					f := &faults[fi].Fault
+					sum := sensitivity{dets: acc[:0]}
+					if f.FlipMeas {
+						sum.xorInto(measDets[op.MeasIdx], measObs[op.MeasIdx], &tmp)
+					}
+					sum.addPauli(f.PA, &sx[op.A], &sz[op.A], &tmp)
+					if op.Kind.TwoQubit() {
+						sum.addPauli(f.PB, &sx[op.B], &sz[op.B], &tmp)
+					}
+					acc = sum.dets
+					fp.dets = append(fp.dets, sum.dets...)
+					fp.off = append(fp.off, int32(len(fp.dets)))
+					fp.obs = append(fp.obs, sum.obs)
+				}
+			}
+
+			// Step back through the op's ideal action.
+			a, b := op.A, op.B
+			switch op.Kind {
+			case circuit.OpReset:
+				sx[a].clear()
+				sz[a].clear()
+			case circuit.OpH:
+				sx[a], sz[a] = sz[a], sx[a]
+			case circuit.OpCNOT:
+				// X on the control spreads to the target; Z on the target
+				// spreads to the control.
+				sx[a].xorInto(sx[b].dets, sx[b].obs, &tmp)
+				sz[b].xorInto(sz[a].dets, sz[a].obs, &tmp)
+			case circuit.OpLoad:
+				// Mode b moves to transmon a; a's prior content is discarded.
+				sx[a], sx[b] = sx[b], sx[a]
+				sz[a], sz[b] = sz[b], sz[a]
+				sx[a].clear()
+				sz[a].clear()
+			case circuit.OpStore:
+				sx[a], sx[b] = sx[b], sx[a]
+				sz[a], sz[b] = sz[b], sz[a]
+				sx[b].clear()
+				sz[b].clear()
+			case circuit.OpMeasureZ:
+				sx[a].xorInto(measDets[op.MeasIdx], measObs[op.MeasIdx], &tmp)
+			}
+		}
+	}
+	return fp
 }
 
 // Reweight materializes the Model for one per-op probability assignment

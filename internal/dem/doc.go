@@ -1,9 +1,23 @@
 // Package dem builds detector error models: it enumerates every elementary
-// Pauli fault of an experiment's circuit, propagates each one
-// deterministically through the Pauli-frame simulator, and records which
-// detectors and whether the logical observable flip. Faults with identical
+// Pauli fault of an experiment's circuit and records which detectors and
+// whether the logical observable each one flips. Faults with identical
 // footprints merge into a single mechanism with XOR-combined probability.
 // This mirrors how Stim derives matchable models from circuits.
+//
+// Footprints come from one backward sensitivity sweep, Stim's error
+// analysis (Gidney 2021, arXiv:2103.02202): walking the ops last to first,
+// the builder keeps, per slot, the sorted detector set and observable bit
+// that an X and a Z error at the current point would flip. A fault injected
+// right after an op flips the XOR of its Paulis' sets there; stepping back
+// through the op applies the transpose of its Pauli-frame update (reset
+// clears the slot, H swaps X and Z, CNOT spreads target X to the control
+// and control Z to the target, load/store move the slot, a measurement
+// adds its detectors to the X set). The cost is linear in circuit size plus
+// footprint size, against O(faults × ops) for propagating each fault
+// forward. The merge then visits faults in enumeration order, so mechanism
+// and source order are those of a per-fault forward build; the forward
+// propagator (pframe.Propagator) remains as the test oracle that pins this
+// byte for byte.
 //
 // The model is split into two halves, the way Stim separates fault
 // structure from fault probability:
@@ -20,7 +34,7 @@
 //   - Reweight (and the allocation-reusing ReweightInto) is the cheap
 //     half: given per-op error probabilities it produces a Model —
 //     per-mechanism probabilities ready for sampling and decoding-graph
-//     extraction — without re-running fault propagation.
+//     extraction — without re-deriving footprints.
 //
 // Build bundles both for one-shot use.
 //

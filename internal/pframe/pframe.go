@@ -6,9 +6,11 @@
 //     noiseless reference execution. This is the reference sampler used to
 //     validate the much faster detector-error-model sampler in internal/dem.
 //
-//   - PropagateFault: deterministic propagation of one elementary fault,
-//     used by the detector-error-model builder to discover each fault's
-//     detector footprint.
+//   - Propagator: deterministic forward propagation of one elementary
+//     fault, reporting the measurement records it flips. internal/dem
+//     derives footprints with a backward sensitivity sweep instead; the
+//     propagator is its test oracle (dem's oracle test rebuilds every
+//     structure from it and requires byte equality).
 //
 // Because every gate is Clifford and every error Pauli, the simulator only
 // tracks the accumulated Pauli frame (error relative to the ideal state), an

@@ -89,9 +89,11 @@ func (j *job) finish(state string, err error) {
 		j.errMsg = err.Error()
 	}
 	j.finished = time.Now()
+	// Release before notifying, so whoever observes the terminal state
+	// also observes the released context.
+	j.cancel()
 	j.notifyLocked()
 	j.mu.Unlock()
-	j.cancel()
 }
 
 func (j *job) appendCell(rec CellRecord) {

@@ -12,12 +12,14 @@ package serve
 // and "ledger" source on the way out. The JSONL backend is append-only:
 // one {"key":...,"cell":...} object per line, the whole file replayed
 // into memory on open with last-entry-wins semantics, torn or corrupt
-// trailing lines skipped (a crash mid-append must not poison the store).
+// lines skipped and an unterminated tail repaired (a crash mid-append
+// must not poison the store, nor the record appended after it).
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -135,10 +137,17 @@ type fileLedger struct {
 	f *os.File
 }
 
+// maxLedgerLine bounds one JSONL record; longer lines are skipped as
+// corrupt rather than buffered.
+const maxLedgerLine = 4 << 20
+
 // OpenFileLedger opens (creating if absent) the append-only JSONL ledger
 // at path and replays its entries: submitting a cell the file already
-// holds is served from it without engine work, across restarts. Corrupt
-// or torn lines are skipped, not fatal.
+// holds is served from it without engine work, across restarts. Corrupt,
+// over-long (> 4 MiB) or torn lines are skipped, not fatal. A final line
+// without its newline is a torn append: if it still parses it is kept and
+// terminated, otherwise it is truncated away, so the next append starts
+// on a fresh line instead of being glued onto the torn bytes.
 func OpenFileLedger(path string) (Ledger, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -148,21 +157,63 @@ func OpenFileLedger(path string) (Ledger, error) {
 		memLedger: memLedger{backend: path, cells: make(map[string]CellRecord)},
 		f:         f,
 	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for sc.Scan() {
-		var e ledgerEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.Key == "" {
-			continue // torn tail from a crash mid-append, or hand-edited junk
-		}
-		l.cells[e.Key] = e.Cell
-	}
-	if err := sc.Err(); err != nil {
+	if err := l.replay(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("ledger: replaying %s: %w", path, err)
 	}
 	l.persist = l.appendLine
 	return l, nil
+}
+
+// replay loads every well-formed line into the in-memory view, last entry
+// winning, and repairs an unterminated final line.
+func (l *fileLedger) replay() error {
+	r := bufio.NewReaderSize(l.f, 1<<16)
+	var line []byte
+	var size, end int64 // bytes read; offset just past the last newline
+	tooLong := false
+	for {
+		chunk, err := r.ReadSlice('\n')
+		size += int64(len(chunk))
+		if tooLong || len(line)+len(chunk) > maxLedgerLine {
+			tooLong, line = true, line[:0]
+		} else {
+			line = append(line, chunk...)
+		}
+		if err == bufio.ErrBufferFull {
+			continue // the line goes on
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		end = size
+		if !tooLong {
+			l.replayLine(line)
+		}
+		line, tooLong = line[:0], false
+	}
+	if size == end {
+		return nil
+	}
+	if !tooLong && l.replayLine(line) {
+		_, err := l.f.Write([]byte{'\n'})
+		return err
+	}
+	return l.f.Truncate(end)
+}
+
+// replayLine applies one ledger line, reporting whether it was a valid
+// entry (a torn tail from a crash mid-append, or hand-edited junk, is not).
+func (l *fileLedger) replayLine(line []byte) bool {
+	var e ledgerEntry
+	if err := json.Unmarshal(line, &e); err != nil || e.Key == "" {
+		return false
+	}
+	l.cells[e.Key] = e.Cell
+	return true
 }
 
 // appendLine writes one entry; called under memLedger.mu, so lines never

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -97,6 +99,152 @@ func TestFileLedgerSkipsTornTail(t *testing.T) {
 	}
 	if _, ok := reopened.Get("cell-c"); ok {
 		t.Error("torn entry resurrected")
+	}
+}
+
+// The record appended after a torn tail must survive the next restart:
+// opening the ledger repairs the unterminated line so the append starts on
+// a line of its own instead of being glued onto the torn bytes.
+func TestFileLedgerAppendAfterTornTailSurvivesRestart(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.ledger")
+	writeLedgerFile(t, path, ledgerLine(t, "cell-a", CellRecord{Distance: 3, Trials: 10})+`{"key":"cell-c","cell":{"dist`)
+
+	led, err := OpenFileLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := CellRecord{Distance: 7, LogicalRate: 0.125, Trials: 20}
+	led.Put("cell-d", want)
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := OpenFileLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if rec, ok := reopened.Get("cell-d"); !ok || rec != want {
+		t.Errorf("record appended after a torn tail lost on restart: %+v, %v", rec, ok)
+	}
+	if st := reopened.Stats(); st.Entries != 2 {
+		t.Errorf("replayed %d entries, want 2 (cell-a, cell-d)", st.Entries)
+	}
+}
+
+// An unterminated final line that still parses (a crash between the record
+// and its newline) is kept, and the next append lands on a fresh line.
+func TestFileLedgerKeepsCompleteUnterminatedTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.ledger")
+	line := ledgerLine(t, "cell-a", CellRecord{Distance: 3, Trials: 10})
+	writeLedgerFile(t, path, line[:len(line)-1])
+
+	led, err := OpenFileLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	led.Put("cell-b", CellRecord{Distance: 5, Trials: 10})
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenFileLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	for _, key := range []string{"cell-a", "cell-b"} {
+		if _, ok := reopened.Get(key); !ok {
+			t.Errorf("%s lost across restart", key)
+		}
+	}
+}
+
+// A line longer than the 4 MiB record bound is corrupt, like any other bad
+// line: it is skipped, and the lines around it still replay.
+func TestFileLedgerSkipsOverlongLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.ledger")
+	long := `{"key":"huge","cell":{"scheme":"` + strings.Repeat("x", maxLedgerLine) + "\"}}\n"
+	writeLedgerFile(t, path, ledgerLine(t, "cell-a", CellRecord{Trials: 1})+long+ledgerLine(t, "cell-b", CellRecord{Trials: 2}))
+
+	led, err := OpenFileLedger(path)
+	if err != nil {
+		t.Fatalf("over-long line made the ledger unopenable: %v", err)
+	}
+	defer led.Close()
+	if st := led.Stats(); st.Entries != 2 {
+		t.Errorf("replayed %d entries, want 2", st.Entries)
+	}
+	if _, ok := led.Get("huge"); ok {
+		t.Error("over-long line replayed")
+	}
+	if rec, ok := led.Get("cell-b"); !ok || rec.Trials != 2 {
+		t.Errorf("line after the over-long one lost: %+v, %v", rec, ok)
+	}
+}
+
+// FuzzLedgerReplay feeds arbitrary bytes to OpenFileLedger as a ledger
+// file. Replay must not fail or panic, must only hold non-empty keys, and
+// a record Put after the replay must come back on the next open.
+func FuzzLedgerReplay(f *testing.F) {
+	a := `{"key":"cell-a","cell":{"distance":3,"trials":10}}` + "\n"
+	b := `{"key":"cell-b","cell":{"distance":5,"trials":20}}` + "\n"
+	f.Add([]byte(""))
+	f.Add([]byte(a + b))
+	f.Add([]byte(a + `{"key":"cell-c","cell":{"dist`))
+	f.Add([]byte(a + "not json\n\n{}\n" + `{"key":"","cell":{}}` + "\n" + b))
+	f.Add([]byte(a + `{"key":"cell-a","cell":{"distance":7}}` + "\n" + a))
+	f.Add([]byte(strings.TrimSuffix(a, "\n")))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.ledger")
+		writeLedgerFile(t, path, string(data))
+		led, err := OpenFileLedger(path)
+		if err != nil {
+			t.Fatalf("replay failed: %v", err)
+		}
+		replayed := led.(*fileLedger).cells
+		for key := range replayed {
+			if key == "" {
+				t.Fatal("replayed an empty key")
+			}
+		}
+		key := "fuzz-put"
+		for hasKey(replayed, key) {
+			key += "+"
+		}
+		want := CellRecord{Distance: 9, LogicalRate: 0.5, Trials: 42}
+		led.Put(key, want)
+		if err := led.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := OpenFileLedger(path)
+		if err != nil {
+			t.Fatalf("reopen after Put failed: %v", err)
+		}
+		defer reopened.Close()
+		if rec, ok := reopened.Get(key); !ok || rec != want {
+			t.Fatalf("record put after replay lost on reopen: %+v, %v", rec, ok)
+		}
+	})
+}
+
+func hasKey(m map[string]CellRecord, key string) bool {
+	_, ok := m[key]
+	return ok
+}
+
+func ledgerLine(t *testing.T, key string, rec CellRecord) string {
+	t.Helper()
+	buf, err := json.Marshal(ledgerEntry{Key: key, Cell: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(buf) + "\n"
+}
+
+func writeLedgerFile(t *testing.T, path, content string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
